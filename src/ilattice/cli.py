@@ -44,8 +44,11 @@ from .verifier import (
     LawReport,
     audit,
     check_law,
+    iter_universes,
     law_by_name,
+    law_modes,
     law_registry,
+    mode_name,
     search_counterexample,
 )
 
@@ -227,13 +230,9 @@ def _run_check(args) -> int:
             laws = (law_by_name(args.law),)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-    reports = []
-    for law in laws:
-        if law.mode_sensitivity == "per-mode":
-            for mode in modes:
-                reports.append(check_law(universe, law, mode, strategy))
-        else:
-            reports.append(check_law(universe, law, None, strategy))
+    reports = [
+        check_law(universe, law, mode, strategy) for law in laws for mode in law_modes(law, modes)
+    ]
     reports.sort(key=lambda report: (report.law, report.mode))
     _emit_reports(reports, args.format)
     return 0
@@ -251,14 +250,12 @@ def _run_search(args) -> int:
         law = law_by_name(args.law)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    modes = _modes(args.mode) if law.mode_sensitivity == "per-mode" else [None]
     results = []
-    for mode in modes:
+    for mode in law_modes(law, _modes(args.mode)):
         found = search_counterexample(law, mode, args.max_atoms)
-        mode_name = str(mode) if mode is not None else "n/a"
         if found is None:
             results.append(
-                {"law": law.name, "mode": mode_name, "found": False,
+                {"law": law.name, "mode": mode_name(mode), "found": False,
                  "universe_digest": None, "counterexample": None}
             )
         else:
@@ -266,7 +263,7 @@ def _run_search(args) -> int:
             results.append(
                 {
                     "law": law.name,
-                    "mode": mode_name,
+                    "mode": mode_name(mode),
                     "found": True,
                     "universe_digest": universe.digest,
                     "counterexample": {name: list(q.members) for name, q in witness.items()},
@@ -362,8 +359,7 @@ def _run_consequence(args) -> int:
             for formula in list(gamma) + [alpha]:
                 names.update(atoms_of(formula))
             f0 = generate_formulas(sorted(names) or ["a"], args.depth)
-            known = set(f0.formulas)
-            missing = [f for f in list(gamma) + [alpha] if f not in known]
+            missing = [f for f in list(gamma) + [alpha] if f not in f0]
             if missing:
                 raise _UsageError(
                     f"formula {render(missing[0])!r} is outside the depth-{args.depth} formula universe"
@@ -391,12 +387,12 @@ def _run_probe(args) -> int:
     closed = args.valuations == "closed"
     if args.which == "modularity":
         law = law_by_name("modularity-probe")
-        reports = []
-        from .verifier import iter_universes
-
-        for universe in iter_universes(args.max_atoms):
-            for mode in _modes(args.mode):
-                reports.append(check_law(universe, law, mode, strategy))
+        modes = law_modes(law, _modes(args.mode))
+        reports = [
+            check_law(universe, law, mode, strategy)
+            for universe in iter_universes(args.max_atoms)
+            for mode in modes
+        ]
         _emit_reports(reports, args.format)
         return 0
     if not args.universe:

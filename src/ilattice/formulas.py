@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 from .errors import BudgetExceededError, FormulaSyntaxError
@@ -31,38 +32,45 @@ class Var:
     name: str
 
 
+# A frozen dataclass's generated hash covers only its fields, so without the
+# node type Conj(p, q) and Disj(p, q) would collide and sets and dicts of
+# formulas would degrade to linear scans.
+
+
 @dataclass(frozen=True)
 class Neg:
     inner: "Formula"
 
-
-@dataclass(frozen=True)
-class Conj:
-    left: "Formula"
-    right: "Formula"
+    def __hash__(self) -> int:
+        return hash((Neg, self.inner))
 
 
 @dataclass(frozen=True)
-class Disj:
+class _Binary:
     left: "Formula"
     right: "Formula"
 
-
-@dataclass(frozen=True)
-class Cond:
-    left: "Formula"
-    right: "Formula"
+    def __hash__(self) -> int:
+        return hash((type(self), self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Bicond:
-    left: "Formula"
-    right: "Formula"
+class Conj(_Binary):
+    pass
+
+
+class Disj(_Binary):
+    pass
+
+
+class Cond(_Binary):
+    pass
+
+
+class Bicond(_Binary):
+    pass
 
 
 Formula = Union[Var, Neg, Conj, Disj, Cond, Bicond]
-
-_BINARY = (Conj, Disj, Cond, Bicond)
 
 
 def atoms_of(formula: Formula) -> tuple[str, ...]:
@@ -97,7 +105,7 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
         yield node
         if isinstance(node, Neg):
             stack.append(node.inner)
-        elif isinstance(node, _BINARY):
+        elif isinstance(node, _Binary):
             stack.append(node.right)
             stack.append(node.left)
 
@@ -248,6 +256,9 @@ def render(formula: Formula) -> str:
 
 MAX_DEPTH = 3
 MAX_ATOMS = 2
+# Most formulas one universe may hold.  One atom reaches depth 3 (91,356
+# formulas); two atoms at depth 3 would need about 10.5M.
+MAX_FORMULAS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -265,8 +276,12 @@ class FormulaUniverse:
     def __len__(self) -> int:
         return len(self.formulas)
 
+    @cached_property
+    def _members(self) -> frozenset[Formula]:
+        return frozenset(self.formulas)
+
     def __contains__(self, formula: Formula) -> bool:
-        return formula in set(self.formulas)
+        return formula in self._members
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.formulas)
@@ -282,6 +297,12 @@ def generate_formulas(atoms: Sequence[str], depth: int) -> FormulaUniverse:
     seen: set[Formula] = set(ordered)
     for _level in range(depth):
         base = list(ordered)
+        bound = len(ordered) + len(base) + 4 * len(base) ** 2
+        if bound > MAX_FORMULAS:
+            raise BudgetExceededError(
+                f"depth {depth} over {len(atoms)} atom(s) needs up to {bound} formulas, "
+                f"over the cap {MAX_FORMULAS}; use a smaller --depth"
+            )
         for phi in base:
             candidate = Neg(phi)
             if candidate not in seen:

@@ -1,4 +1,10 @@
-"""Lattice operations induced by the cloud operator, in two meet conventions.
+"""The lattice operations induced by the cloud operator, in two meet conventions.
+
+This module is the one place the operators are written.  Each is a mask
+kernel over one universe (``meet_mask``, ``join_mask``, ``ortho_mask``,
+``leq_mask``), and the QSet functions are thin wrappers that check both
+arguments share a universe.  The formula semantics evaluates through the
+same kernels.
 
 The join of A and B is cloud(A) ∪ cloud(B) and the orthocomplement of A is
 U − cloud(A); both are convention-free.  The meet comes in two readings that
@@ -31,12 +37,6 @@ class OpMode(enum.Enum):
         return self.value
 
 
-def coerce_mode(value: "OpMode | str") -> OpMode:
-    if isinstance(value, OpMode):
-        return value
-    return OpMode(value)
-
-
 def zero(universe: Universe) -> QSet:
     return universe.empty
 
@@ -45,31 +45,50 @@ def one(universe: Universe) -> QSet:
     return universe.full
 
 
+def meet_mask(universe: Universe, a: int, b: int, mode: OpMode) -> int:
+    """The meet of two masks of ``universe`` in the given convention.
+
+    Raises ValueError for anything but an ``OpMode`` member, so a mode given
+    as a string cannot silently select one of the readings.
+    """
+    if mode is OpMode.LITERAL:
+        return universe.cloud_mask(a & b)
+    if mode is OpMode.CLOSURE:
+        return universe.cloud_mask(a) & universe.cloud_mask(b)
+    raise ValueError(f"mode must be an OpMode member, got {mode!r}")
+
+
+def join_mask(universe: Universe, a: int, b: int) -> int:
+    return universe.cloud_mask(a) | universe.cloud_mask(b)
+
+
+def ortho_mask(universe: Universe, a: int) -> int:
+    return universe._full_mask & ~universe.cloud_mask(a)
+
+
+def leq_mask(universe: Universe, a: int, b: int) -> bool:
+    return not (universe.cloud_mask(a) & ~universe.cloud_mask(b))
+
+
 def meet(a: QSet, b: QSet, mode: OpMode) -> QSet:
     a._require_same_universe(b)
-    universe = a.universe
-    if coerce_mode(mode) is OpMode.LITERAL:
-        return QSet(universe, universe.cloud_mask(a.mask & b.mask))
-    return QSet(universe, universe.cloud_mask(a.mask) & universe.cloud_mask(b.mask))
+    return QSet(a.universe, meet_mask(a.universe, a.mask, b.mask, mode))
 
 
 def join(a: QSet, b: QSet) -> QSet:
     a._require_same_universe(b)
-    universe = a.universe
-    return QSet(universe, universe.cloud_mask(a.mask) | universe.cloud_mask(b.mask))
+    return QSet(a.universe, join_mask(a.universe, a.mask, b.mask))
 
 
 def ortho(a: QSet) -> QSet:
     """Generalized complement: U minus the cloud of A.  Always closed."""
-    universe = a.universe
-    return QSet(universe, universe._full_mask & ~universe.cloud_mask(a.mask))
+    return QSet(a.universe, ortho_mask(a.universe, a.mask))
 
 
 def leq(a: QSet, b: QSet) -> bool:
     """The induced order: A ≤ B iff A ⊔ B = cloud(B), i.e. cloud(A) ⊆ cloud(B)."""
     a._require_same_universe(b)
-    universe = a.universe
-    return not (universe.cloud_mask(a.mask) & ~universe.cloud_mask(b.mask))
+    return leq_mask(a.universe, a.mask, b.mask)
 
 
 def leq1(a: QSet, b: QSet, mode: OpMode) -> bool:
@@ -79,7 +98,8 @@ def leq1(a: QSet, b: QSet, mode: OpMode) -> bool:
     fails on non-closed inputs, which the verifier documents.
     """
     a._require_same_universe(b)
-    return meet(a, b, mode).mask == a.universe.cloud_mask(a.mask)
+    universe = a.universe
+    return meet_mask(universe, a.mask, b.mask, mode) == universe.cloud_mask(a.mask)
 
 
 def orthogonal(a: QSet, b: QSet) -> bool:

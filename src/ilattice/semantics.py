@@ -1,10 +1,12 @@
 """Valuations of formulas into the lattice, truth, validity and consequence.
 
 A valuation assigns a qset to every propositional atom and extends
-compositionally: conjunction evaluates through the meet (in the chosen
-mode), disjunction through the join, negation through the orthocomplement,
-and the conditional and biconditional through their definitional expansions.
-Every non-atomic formula therefore evaluates to a closed qset.
+compositionally through the lattice's mask kernel: conjunction evaluates
+through the meet (in the chosen mode), disjunction through the join and
+negation through the orthocomplement.  This module adds only the two
+defined connectives on top of the kernel: the conditional and the
+biconditional, through their definitional expansions.  Every non-atomic
+formula therefore evaluates to a closed qset.
 
 A formula is true under a valuation when it evaluates to the whole carrier.
 Sweeps (validity, consequence, the implication conditions, the consequence
@@ -25,6 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, ValuationError
 from .formulas import (
+    Bicond,
     Cond,
     Conj,
     Disj,
@@ -35,7 +38,7 @@ from .formulas import (
     atoms_of,
     render,
 )
-from .lattice import OpMode
+from .lattice import OpMode, join_mask, leq_mask, meet_mask, ortho_mask
 from .universe import QSet, Universe
 from .verifier import DEFAULT_CASE_BUDGET, EXHAUSTIVE, CheckStrategy, SampleStream
 
@@ -97,28 +100,32 @@ def load_valuation(path, universe: Universe) -> Valuation:
 
 
 # --------------------------------------------------------------------------
-# Mask-level connective semantics
+# The defined connectives and the connective table, over the lattice kernel
 # --------------------------------------------------------------------------
 
 
-def _ortho_mask(universe: Universe, a: int) -> int:
-    return universe._full_mask & ~universe.cloud_mask(a)
-
-
-def _join_mask(universe: Universe, a: int, b: int) -> int:
-    return universe.cloud_mask(a) | universe.cloud_mask(b)
-
-
-def _meet_mask(universe: Universe, a: int, b: int, mode: OpMode) -> int:
-    if mode is OpMode.LITERAL:
-        return universe.cloud_mask(a & b)
-    return universe.cloud_mask(a) & universe.cloud_mask(b)
-
-
 def _cond_mask(universe: Universe, a: int, b: int, mode: OpMode) -> int:
-    return _join_mask(
-        universe, b, _meet_mask(universe, _ortho_mask(universe, a), _ortho_mask(universe, b), mode)
+    """``a -> b`` abbreviates ``b | (~a & ~b)``."""
+    return join_mask(
+        universe, b, meet_mask(universe, ortho_mask(universe, a), ortho_mask(universe, b), mode)
     )
+
+
+def _bicond_mask(universe: Universe, a: int, b: int, mode: OpMode) -> int:
+    """``a <-> b`` abbreviates ``(a -> b) & (b -> a)``."""
+    return meet_mask(
+        universe, _cond_mask(universe, a, b, mode), _cond_mask(universe, b, a, mode), mode
+    )
+
+
+# The mask operator behind each binary connective, called as
+# ``op(universe, left, right, mode)``.
+_CONNECTIVES = {
+    Conj: meet_mask,
+    Disj: lambda universe, a, b, mode: join_mask(universe, a, b),
+    Cond: _cond_mask,
+    Bicond: _bicond_mask,
+}
 
 
 def _eval_mask(formula: Formula, env: Mapping[str, int], universe: Universe, mode: OpMode) -> int:
@@ -128,18 +135,13 @@ def _eval_mask(formula: Formula, env: Mapping[str, int], universe: Universe, mod
         except KeyError:
             raise ValuationError(f"no value assigned to atom {formula.name!r}") from None
     if isinstance(formula, Neg):
-        return _ortho_mask(universe, _eval_mask(formula.inner, env, universe, mode))
-    left = _eval_mask(formula.left, env, universe, mode)
-    right = _eval_mask(formula.right, env, universe, mode)
-    if isinstance(formula, Conj):
-        return _meet_mask(universe, left, right, mode)
-    if isinstance(formula, Disj):
-        return _join_mask(universe, left, right)
-    if isinstance(formula, Cond):
-        return _cond_mask(universe, left, right, mode)
-    forward = _cond_mask(universe, left, right, mode)
-    backward = _cond_mask(universe, right, left, mode)
-    return _meet_mask(universe, forward, backward, mode)
+        return ortho_mask(universe, _eval_mask(formula.inner, env, universe, mode))
+    return _CONNECTIVES[type(formula)](
+        universe,
+        _eval_mask(formula.left, env, universe, mode),
+        _eval_mask(formula.right, env, universe, mode),
+        mode,
+    )
 
 
 def eval_formula(formula: Formula, valuation: Valuation, mode: OpMode) -> QSet:
@@ -365,8 +367,7 @@ def check_implication_conditions(
             if va == full and cond_value == full and vb != full:
                 mp_witness = _witness(universe, names, (va, vb))
         if order_witness is None:
-            reflected = not (universe.cloud_mask(va) & ~universe.cloud_mask(vb))
-            if (cond_value == full) != reflected:
+            if (cond_value == full) != leq_mask(universe, va, vb):
                 order_witness = _witness(universe, names, (va, vb))
     checked = len(assignments)
     return (
@@ -416,21 +417,10 @@ class ModelTable:
         for position, name in enumerate(f0.atoms):
             column = tuple(masks[position] for masks in self.assignments)
             self._vectors[Var(name)] = column
-        for formula in f0.formulas:
-            self.value_vector(formula)
         self.index_of: dict[Formula, int] = {
             formula: index for index, formula in enumerate(f0.formulas)
         }
-        full = universe._full_mask
-        models_by_index = []
-        for formula in f0.formulas:
-            mask = 0
-            for index, value in enumerate(self._vectors[formula]):
-                if value == full:
-                    mask |= 1 << index
-            models_by_index.append(mask)
-            self._models[formula] = mask
-        self._models_by_index = models_by_index
+        self._models_by_index = [self.models_mask(formula) for formula in f0.formulas]
 
     def value_vector(self, formula: Formula) -> tuple[int, ...]:
         cached = self._vectors.get(formula)
@@ -442,30 +432,12 @@ class ModelTable:
             raise ValuationError(f"atom {formula.name!r} is not in the formula universe")
         if isinstance(formula, Neg):
             inner = self.value_vector(formula.inner)
-            vector = tuple(_ortho_mask(universe, value) for value in inner)
+            vector = tuple(ortho_mask(universe, value) for value in inner)
         else:
+            op = _CONNECTIVES[type(formula)]
             left = self.value_vector(formula.left)
             right = self.value_vector(formula.right)
-            if isinstance(formula, Conj):
-                vector = tuple(
-                    _meet_mask(universe, a, b, mode) for a, b in zip(left, right)
-                )
-            elif isinstance(formula, Disj):
-                vector = tuple(_join_mask(universe, a, b) for a, b in zip(left, right))
-            elif isinstance(formula, Cond):
-                vector = tuple(
-                    _cond_mask(universe, a, b, mode) for a, b in zip(left, right)
-                )
-            else:
-                vector = tuple(
-                    _meet_mask(
-                        universe,
-                        _cond_mask(universe, a, b, mode),
-                        _cond_mask(universe, b, a, mode),
-                        mode,
-                    )
-                    for a, b in zip(left, right)
-                )
+            vector = tuple(op(universe, a, b, mode) for a, b in zip(left, right))
         self._vectors[formula] = vector
         return vector
 
@@ -562,9 +534,8 @@ def cn(
     operator satisfies the closure axioms (extensive, monotone, idempotent),
     which the test suite checks.
     """
-    known = set(f0.formulas)
     for formula in gamma:
-        if formula not in known:
+        if formula not in f0:
             raise ValueError(f"premise {render(formula)!r} is not in the formula universe")
     table = ModelTable(
         universe, f0, mode, strategy,

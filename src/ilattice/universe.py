@@ -322,11 +322,6 @@ def build_universe(
     return Universe(atom_declarations, blocks)
 
 
-def enumerate_subsets(universe: Universe) -> Iterator[QSet]:
-    """Deterministic stream of all subsets of the carrier."""
-    return universe.subsets()
-
-
 _UNIVERSE_FIELDS = {"atoms", "blocks"}
 _ATOM_FIELDS = {"id", "kind"}
 

@@ -188,10 +188,6 @@ REPORT_SCHEMA = {
 # --------------------------------------------------------------------------
 
 
-def _implies(antecedent: bool, consequent_thunk: Callable[[], bool]) -> bool:
-    return not antecedent or consequent_thunk()
-
-
 def _build_registry() -> tuple[LawSpec, ...]:
     def law(name, arity, sensitivity, restriction, statement, predicate, probe=False):
         return LawSpec(name, arity, sensitivity, restriction, predicate, statement, probe)
@@ -208,7 +204,7 @@ def _build_registry() -> tuple[LawSpec, ...]:
         law(
             "cloud-monotone", 2, MODE_FREE, UNRESTRICTED,
             "A ⊆ B ⇒ cl(A) ⊆ cl(B)",
-            lambda u, q, m: _implies(q[0].is_subset(q[1]), lambda: cl(q[0]).is_subset(cl(q[1]))),
+            lambda u, q, m: not q[0].is_subset(q[1]) or cl(q[0]).is_subset(cl(q[1])),
         ),
         law(
             "cloud-transitive", 1, MODE_FREE, UNRESTRICTED,
@@ -379,16 +375,13 @@ def _build_registry() -> tuple[LawSpec, ...]:
         law(
             "order-weak-antisymmetry", 2, MODE_FREE, UNRESTRICTED,
             "A ≤ B and B ≤ A ⇒ cl(A) = cl(B)",
-            lambda u, q, m: _implies(
-                leq(q[0], q[1]) and leq(q[1], q[0]), lambda: cl(q[0]) == cl(q[1])
-            ),
+            lambda u, q, m: not (leq(q[0], q[1]) and leq(q[1], q[0]))
+            or cl(q[0]) == cl(q[1]),
         ),
         law(
             "order-transitivity", 3, MODE_FREE, UNRESTRICTED,
             "A ≤ B and B ≤ C ⇒ A ≤ C",
-            lambda u, q, m: _implies(
-                leq(q[0], q[1]) and leq(q[1], q[2]), lambda: leq(q[0], q[2])
-            ),
+            lambda u, q, m: not (leq(q[0], q[1]) and leq(q[1], q[2])) or leq(q[0], q[2]),
         ),
         law(
             "order-meet-lower-bound", 2, PER_MODE, UNRESTRICTED,
@@ -398,9 +391,8 @@ def _build_registry() -> tuple[LawSpec, ...]:
         law(
             "order-meet-greatest-lower", 3, PER_MODE, UNRESTRICTED,
             "C ≤ A and C ≤ B ⇒ C ≤ A ⊓ B",
-            lambda u, q, m: _implies(
-                leq(q[2], q[0]) and leq(q[2], q[1]), lambda: leq(q[2], meet(q[0], q[1], m))
-            ),
+            lambda u, q, m: not (leq(q[2], q[0]) and leq(q[2], q[1]))
+            or leq(q[2], meet(q[0], q[1], m)),
         ),
         law(
             "order-join-upper-bound", 2, MODE_FREE, UNRESTRICTED,
@@ -410,9 +402,8 @@ def _build_registry() -> tuple[LawSpec, ...]:
         law(
             "order-join-least-upper", 3, MODE_FREE, UNRESTRICTED,
             "A ≤ C and B ≤ C ⇒ A ⊔ B ≤ C",
-            lambda u, q, m: _implies(
-                leq(q[0], q[2]) and leq(q[1], q[2]), lambda: leq(join(q[0], q[1]), q[2])
-            ),
+            lambda u, q, m: not (leq(q[0], q[2]) and leq(q[1], q[2]))
+            or leq(join(q[0], q[1]), q[2]),
         ),
         law(
             "order-bounds", 1, MODE_FREE, UNRESTRICTED,
@@ -422,9 +413,7 @@ def _build_registry() -> tuple[LawSpec, ...]:
         law(
             "order-meet-collapse", 2, PER_MODE, UNRESTRICTED,
             "A ≤ B ⇒ A ⊓ B = cl(A)",
-            lambda u, q, m: _implies(
-                leq(q[0], q[1]), lambda: meet(q[0], q[1], m) == cl(q[0])
-            ),
+            lambda u, q, m: not leq(q[0], q[1]) or meet(q[0], q[1], m) == cl(q[0]),
         ),
         law(
             "leq-iff-leq1", 2, PER_MODE, UNRESTRICTED,
@@ -461,7 +450,7 @@ def _build_registry() -> tuple[LawSpec, ...]:
         law(
             "ortho-antitone", 2, MODE_FREE, UNRESTRICTED,
             "A ≤ B ⇒ B⊥ ≤ A⊥",
-            lambda u, q, m: _implies(leq(q[0], q[1]), lambda: leq(ortho(q[1]), ortho(q[0]))),
+            lambda u, q, m: not leq(q[0], q[1]) or leq(ortho(q[1]), ortho(q[0])),
         ),
         # Complementation and its absorption corollaries.
         law(
@@ -552,6 +541,17 @@ def law_by_name(name: str) -> LawSpec:
         return _BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown law {name!r}") from None
+
+
+def law_modes(law: LawSpec, modes: Sequence[OpMode]) -> tuple[OpMode | None, ...]:
+    """The modes to check ``law`` in: each of ``modes`` for a per-mode law,
+    ``(None,)`` for a mode-free one."""
+    return tuple(modes) if law.mode_sensitivity == PER_MODE else (None,)
+
+
+def mode_name(mode: OpMode | None) -> str:
+    """The mode column of a report row: the mode's value, or "n/a" for None."""
+    return "n/a" if mode is None else str(mode)
 
 
 # --------------------------------------------------------------------------
@@ -646,11 +646,11 @@ def check_law(
     if law.mode_sensitivity == PER_MODE:
         if mode is None:
             raise ValueError(f"law {law.name!r} is mode-sensitive; a mode is required")
-        eval_mode = mode
-        report_mode = str(mode)
     else:
-        eval_mode = mode if mode is not None else OpMode.LITERAL
-        report_mode = "n/a"
+        mode = None
+    # A mode-free predicate ignores its mode argument, so any member will do.
+    eval_mode = OpMode.LITERAL if mode is None else mode
+    report_mode = mode_name(mode)
 
     restricted = (law.restriction == CLOSED_ONLY) if closed_only is None else closed_only
     domain = universe.closed_qsets() if restricted else list(universe.subsets())
@@ -712,12 +712,7 @@ def audit(
     """
     rows = []
     for law in law_registry():
-        run_modes: list[OpMode | None]
-        if law.mode_sensitivity == PER_MODE:
-            run_modes = list(modes)
-        else:
-            run_modes = [None]
-        for mode in run_modes:
+        for mode in law_modes(law, modes):
             try:
                 rows.append(
                     check_law(universe, law, mode, strategy, case_budget=case_budget)
@@ -725,13 +720,7 @@ def audit(
             except BudgetExceededError:
                 rows.append(
                     LawReport(
-                        law.name,
-                        str(mode) if mode is not None else "n/a",
-                        universe.digest,
-                        "skipped",
-                        0,
-                        None,
-                        False,
+                        law.name, mode_name(mode), universe.digest, "skipped", 0, None, False
                     )
                 )
     rows.sort(key=lambda report: (report.law, report.mode))

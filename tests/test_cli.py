@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -234,6 +235,15 @@ class TestProbes:
         by_name = {e["condition"]: e for e in json.loads(out)["results"]}
         assert by_name["identity"]["holds"]
         assert not by_name["modus-ponens"]["holds"]
+
+    def test_deduction_probe_depth_three_fails_fast(self, capsys, universe_file):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "probe", "deduction", "--universe", universe_file, "--depth", "3",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "--depth" in err
 
     def test_deduction_probe_needs_universe(self, capsys):
         code, _, err = run(capsys, "probe", "deduction")

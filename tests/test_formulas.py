@@ -125,3 +125,15 @@ class TestFormulaUniverse:
             generate_formulas(["a"], 4)
         with pytest.raises(BudgetExceededError):
             generate_formulas(["a", "b", "c"], 1)
+        with pytest.raises(BudgetExceededError, match="smaller --depth"):
+            generate_formulas(["a", "b"], 3)
+
+    def test_one_atom_reaches_depth_three(self):
+        f0 = generate_formulas(["a"], 3)
+        assert len(f0) == 91356
+        assert Bicond(Neg(Var("a")), Conj(Var("a"), Var("a"))) in f0
+
+    def test_connectives_hash_apart(self):
+        a, b = Var("a"), Var("b")
+        hashes = {hash(node(a, b)) for node in (Conj, Disj, Cond, Bicond)}
+        assert len(hashes) == 4

@@ -91,6 +91,14 @@ class TestEval:
             if not isinstance(formula, Var):
                 assert eval_formula(formula, v, OpMode.LITERAL).is_closed()
 
+    def test_string_mode_is_rejected(self, one_block):
+        a, b = one_block.qset(["x1"]), one_block.qset(["x2"])
+        with pytest.raises(ValueError, match="OpMode"):
+            meet(a, b, "literal")
+        v = Valuation(one_block, {"a": a, "b": b})
+        with pytest.raises(ValueError, match="OpMode"):
+            eval_formula(Conj(A, B), v, "literal")
+
     def test_unassigned_atom(self, mixed):
         v = Valuation(mixed, {"a": mixed.empty})
         with pytest.raises(ValuationError, match="no value"):
@@ -286,13 +294,15 @@ class TestConsequenceOperator:
             syntactic = syntactic_consequence(one_block, list(gamma), alpha, f0).verdict
             assert semantic == syntactic
 
-    def test_model_table_matches_direct_evaluation(self, mixed):
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_model_table_matches_direct_evaluation(self, mixed, mode, closed):
         f0 = generate_formulas(["a", "b"], 1)
-        table = ModelTable(mixed, f0, OpMode.LITERAL)
+        table = ModelTable(mixed, f0, mode, closed_valuations=closed)
         for index in range(len(table.assignments)):
             valuation = table.valuation_at(index)
             for formula in f0.formulas:
-                direct = eval_formula(formula, valuation, OpMode.LITERAL)
+                direct = eval_formula(formula, valuation, mode)
                 assert table.value_vector(formula)[index] == direct.mask
 
 

@@ -9,7 +9,6 @@ from ilattice import (
     UniverseError,
     UniverseMismatchError,
     build_universe,
-    enumerate_subsets,
     load_universe,
     universe_from_dict,
     universe_to_dict,
@@ -152,7 +151,7 @@ class TestSetAlgebra:
 
 class TestEnumeration:
     def test_binary_counting_order(self, one_block):
-        subsets = [q.members for q in enumerate_subsets(one_block)]
+        subsets = [q.members for q in one_block.subsets()]
         assert subsets == [(), ("x1",), ("x2",), ("x1", "x2")]
 
     def test_count_for_three_atoms(self, mixed):
