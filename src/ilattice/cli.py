@@ -15,6 +15,7 @@ would exceed the case budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -165,7 +166,10 @@ def _open_universe(path) -> Universe:
         raise _UsageError(f"universe file {path}: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and reused: parsing keeps no
+    state in it (no ``append`` action and no mutable default)."""
     parser = _Parser(prog="ilattice", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command")
 

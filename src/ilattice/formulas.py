@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, FormulaSyntaxError
 
@@ -70,7 +70,10 @@ class Bicond(_Binary):
     pass
 
 
-Formula = Union[Var, Neg, Conj, Disj, Cond, Bicond]
+# A PEP 604 union, not typing.Union: typing caches each Union it builds, so
+# every re-import of this module would leave its old classes (and the modules
+# their methods close over) alive in that cache.
+Formula = Var | Neg | Conj | Disj | Cond | Bicond
 
 
 def atoms_of(formula: Formula) -> tuple[str, ...]:

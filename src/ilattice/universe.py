@@ -26,6 +26,16 @@ ATOM_KINDS = ("m", "M")
 EXHAUSTIVE_LIMIT = 16
 
 
+def require_enumerable(count: int, what: str) -> None:
+    """Raise BudgetExceededError when 2**count qsets (of ``count`` atoms or
+    blocks) are too many to enumerate."""
+    if count > EXHAUSTIVE_LIMIT:
+        raise BudgetExceededError(
+            f"universe has {count} {what}, above the exhaustive "
+            f"limit {EXHAUSTIVE_LIMIT}; use a sampling strategy"
+        )
+
+
 @dataclass(frozen=True)
 class Atom:
     """One carrier element.
@@ -124,6 +134,8 @@ class Universe:
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Universe):
             return NotImplemented
         return self.atoms == other.atoms and self.blocks == other.blocks
@@ -195,21 +207,13 @@ class Universe:
 
     def subsets(self) -> Iterator[QSet]:
         """All 2**|U| qsets, in binary counting order over the atom order."""
-        if len(self.atoms) > EXHAUSTIVE_LIMIT:
-            raise BudgetExceededError(
-                f"universe has {len(self.atoms)} atoms, above the exhaustive "
-                f"limit {EXHAUSTIVE_LIMIT}; use a sampling strategy"
-            )
+        require_enumerable(len(self.atoms), "atoms")
         for mask in range(self._full_mask + 1):
             yield QSet(self, mask)
 
     def closed_qsets(self) -> list[QSet]:
         """All unions of blocks (2**#blocks of them), in block counting order."""
-        if len(self.blocks) > EXHAUSTIVE_LIMIT:
-            raise BudgetExceededError(
-                f"universe has {len(self.blocks)} blocks, above the exhaustive "
-                f"limit {EXHAUSTIVE_LIMIT}; use a sampling strategy"
-            )
+        require_enumerable(len(self.blocks), "blocks")
         out = []
         for combo in range(1 << len(self.blocks)):
             mask = 0
@@ -264,7 +268,7 @@ class QSet:
         return "QSet[" + ", ".join(self) + "]"
 
     def _require_same_universe(self, other: QSet) -> None:
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise UniverseMismatchError("qsets belong to different universes")
 
     # -- raw set algebra ------------------------------------------------------

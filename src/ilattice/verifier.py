@@ -2,38 +2,62 @@
 
 Every algebraic statement about the cloud operator, the induced order, the
 two meets, the orthocomplement and their interaction is registered once as a
-named, quantified law.  The engines check a law exhaustively (or by seeded
+named, quantified law.  A law is a term of ``terms`` (for instance
+``eq(meet(A, meet(B, C)), meet(meet(A, B), C))``); its statement is rendered
+from the term, and the term is compiled on first use into two evaluators:
+a mask evaluator for one tuple (sampling, minimization, witnesses) and a
+bit-sliced evaluator that checks a whole exhaustive sweep a chunk of up to
+2**16 tuples at a time.  The engines check a law exhaustively (or by seeded
 sampling) over one universe, audit the whole registry, and hunt for a
 minimal counterexample across all small universes.
 
-Laws whose predicate mentions the meet (or the meet-based order candidate)
-are "per-mode" and get one verdict per meet convention; the rest are
-"mode-free".  Laws the source statements restrict to closed qsets quantify
-over unions of blocks only.
+Laws whose term mentions the meet are "per-mode" and get one verdict per
+meet convention; the rest are "mode-free".  Laws the source statements
+restrict to closed qsets quantify over unions of blocks only.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .lattice import (
-    OpMode,
+from .lattice import OpMode
+from .terms import (
+    A,
+    B,
+    C,
+    ONE,
+    VARIABLES,
+    ZERO,
+    Term,
+    and_,
+    arity_of,
+    cl,
+    closed,
+    compile_mask,
+    compile_sliced,
+    diff,
+    empty,
+    eq,
+    first_failure,
+    iff,
+    implies,
+    inter,
+    interior,
     join,
     leq,
-    leq1,
     meet,
-    modular_instance,
-    one,
+    orth,
     ortho,
-    orthogonal,
-    orthomodular_instance,
-    zero,
+    statement,
+    sub,
+    union,
+    uses_meet,
 )
-from .universe import QSet, Universe
+from .universe import QSet, Universe, require_enumerable
 
 DEFAULT_CASE_BUDGET = 1 << 24
 
@@ -42,26 +66,48 @@ PER_MODE = "per-mode"
 UNRESTRICTED = "unrestricted"
 CLOSED_ONLY = "closed-only"
 
-Predicate = Callable[[Universe, tuple[QSet, ...], OpMode], bool]
-
 
 @dataclass(frozen=True)
 class LawSpec:
-    """One named, quantified algebraic law.
+    """One named, quantified algebraic law, written as a term.
 
-    ``predicate`` is a total boolean function of (universe, qset tuple, mode);
-    for mode-free laws the mode argument is ignored.  ``statement`` is the
-    human-readable algebraic form shown in reports.  Probe laws are evaluated
-    and reported but carry no expected verdict.
+    The arity (at least one) and whether the law is per-mode (it uses the
+    meet) are read off the term.  ``predicate(universe, qsets, mode)``
+    evaluates the term on one tuple; for mode-free laws the mode argument is
+    ignored.  ``statement`` is the human-readable algebraic form, rendered
+    from the term.  Probe laws are evaluated and reported but carry no
+    expected verdict.
     """
 
     name: str
-    arity: int
-    mode_sensitivity: str
     restriction: str
-    predicate: Predicate
-    statement: str
+    term: Term
     probe: bool = False
+
+    @cached_property
+    def arity(self) -> int:
+        return arity_of(self.term)
+
+    @cached_property
+    def mode_sensitivity(self) -> str:
+        return PER_MODE if uses_meet(self.term) else MODE_FREE
+
+    @property
+    def statement(self) -> str:
+        return statement(self.term, self.arity, self.restriction == CLOSED_ONLY)
+
+    @cached_property
+    def holds(self):
+        """The mask evaluator: ``holds(universe, mode, *masks) -> bool``."""
+        return compile_mask(self.term, self.arity)
+
+    @cached_property
+    def sliced(self):
+        """The bit-sliced evaluator, driven by ``terms.first_failure``."""
+        return compile_sliced(self.term, self.arity)
+
+    def predicate(self, universe: Universe, qsets: Sequence[QSet], mode: OpMode) -> bool:
+        return self.holds(universe, mode, *[q.mask for q in qsets])
 
 
 @dataclass(frozen=True)
@@ -189,335 +235,108 @@ REPORT_SCHEMA = {
 
 
 def _build_registry() -> tuple[LawSpec, ...]:
-    def law(name, arity, sensitivity, restriction, statement, predicate, probe=False):
-        return LawSpec(name, arity, sensitivity, restriction, predicate, statement, probe)
+    def law(name, term, *, closed_only=False, probe=False):
+        return LawSpec(name, CLOSED_ONLY if closed_only else UNRESTRICTED, term, probe)
 
-    cl = lambda q: q.cloud()
+    join_over_meet = eq(join(A, meet(B, C)), meet(join(A, B), join(A, C)))
+    meet_over_join = eq(meet(A, join(B, C)), join(meet(A, B), meet(A, C)))
+    meet_de_morgan = eq(ortho(meet(A, B)), join(ortho(A), ortho(B)))
 
     entries = [
         # Closure-operator axioms and their consequences.
-        law(
-            "cloud-extensive", 1, MODE_FREE, UNRESTRICTED,
-            "A ⊆ cl(A)",
-            lambda u, q, m: q[0].is_subset(cl(q[0])),
-        ),
-        law(
-            "cloud-monotone", 2, MODE_FREE, UNRESTRICTED,
-            "A ⊆ B ⇒ cl(A) ⊆ cl(B)",
-            lambda u, q, m: not q[0].is_subset(q[1]) or cl(q[0]).is_subset(cl(q[1])),
-        ),
-        law(
-            "cloud-transitive", 1, MODE_FREE, UNRESTRICTED,
-            "cl(cl(A)) ⊆ cl(A)",
-            lambda u, q, m: cl(cl(q[0])).is_subset(cl(q[0])),
-        ),
-        law(
-            "cloud-idempotent", 1, MODE_FREE, UNRESTRICTED,
-            "cl(cl(A)) = cl(A)",
-            lambda u, q, m: cl(cl(q[0])) == cl(q[0]),
-        ),
-        law(
-            "cloud-union-upper", 2, MODE_FREE, UNRESTRICTED,
-            "cl(A) ∪ cl(B) ⊆ cl(A ∪ B)",
-            lambda u, q, m: (cl(q[0]) | cl(q[1])).is_subset(cl(q[0] | q[1])),
-        ),
-        law(
-            "cloud-intersection-lower", 2, MODE_FREE, UNRESTRICTED,
-            "cl(A ∩ B) ⊆ cl(A) ∩ cl(B)",
-            lambda u, q, m: cl(q[0] & q[1]).is_subset(cl(q[0]) & cl(q[1])),
-        ),
-        law(
-            "cloud-union-of-clouds", 2, MODE_FREE, UNRESTRICTED,
-            "cl(cl(A) ∪ cl(B)) = cl(A ∪ B)",
-            lambda u, q, m: cl(cl(q[0]) | cl(q[1])) == cl(q[0] | q[1]),
-        ),
-        law(
-            "cloud-intersection-closed", 2, MODE_FREE, UNRESTRICTED,
-            "cl(A) ∩ cl(B) = cl(cl(A) ∩ cl(B))",
-            lambda u, q, m: (cl(q[0]) & cl(q[1])) == cl(cl(q[0]) & cl(q[1])),
-        ),
-        law(
-            "cloud-additive", 2, MODE_FREE, UNRESTRICTED,
-            "cl(A ∪ B) = cl(A) ∪ cl(B)",
-            lambda u, q, m: cl(q[0] | q[1]) == cl(q[0]) | cl(q[1]),
-        ),
-        law(
-            "cloud-empty", 1, MODE_FREE, UNRESTRICTED,
-            "cl(∅) = ∅",
-            lambda u, q, m: cl(u.empty) == u.empty,
-        ),
-        law(
-            "interior-sandwich", 1, MODE_FREE, UNRESTRICTED,
-            "int(A) ⊆ A ⊆ cl(A)",
-            lambda u, q, m: q[0].interior().is_subset(q[0]) and q[0].is_subset(cl(q[0])),
-        ),
+        law("cloud-extensive", sub(A, cl(A))),
+        law("cloud-monotone", implies(sub(A, B), sub(cl(A), cl(B)))),
+        law("cloud-transitive", sub(cl(cl(A)), cl(A))),
+        law("cloud-idempotent", eq(cl(cl(A)), cl(A))),
+        law("cloud-union-upper", sub(union(cl(A), cl(B)), cl(union(A, B)))),
+        law("cloud-intersection-lower", sub(cl(inter(A, B)), inter(cl(A), cl(B)))),
+        law("cloud-union-of-clouds", eq(cl(union(cl(A), cl(B))), cl(union(A, B)))),
+        law("cloud-intersection-closed", eq(inter(cl(A), cl(B)), cl(inter(cl(A), cl(B))))),
+        law("cloud-additive", eq(cl(union(A, B)), union(cl(A), cl(B)))),
+        law("cloud-empty", eq(cl(ZERO), ZERO)),
+        law("interior-sandwich", and_(sub(interior(A), A), sub(A, cl(A)))),
         # Meet against cloud and join.
+        law("meet-below-cloud-intersection", sub(meet(A, B), cl(inter(cl(A), cl(B))))),
+        law("meet-below-join", sub(meet(A, B), join(A, B))),
         law(
-            "meet-below-cloud-intersection", 2, PER_MODE, UNRESTRICTED,
-            "A ⊓ B ⊆ cl(cl(A) ∩ cl(B))",
-            lambda u, q, m: meet(q[0], q[1], m).is_subset(cl(cl(q[0]) & cl(q[1]))),
-        ),
-        law(
-            "meet-below-join", 2, PER_MODE, UNRESTRICTED,
-            "A ⊓ B ⊆ A ⊔ B",
-            lambda u, q, m: meet(q[0], q[1], m).is_subset(join(q[0], q[1])),
-        ),
-        law(
-            "closed-pair-stability", 2, PER_MODE, CLOSED_ONLY,
-            "closed A,B: A ∪ B and A ∩ B closed, A ⊓ B = cl(A) ∩ cl(B)",
-            lambda u, q, m: (q[0] | q[1]).is_closed()
-            and (q[0] & q[1]).is_closed()
-            and meet(q[0], q[1], m) == (cl(q[0]) & cl(q[1])),
+            "closed-pair-stability",
+            and_(
+                closed(union(A, B)),
+                closed(inter(A, B)),
+                eq(meet(A, B), inter(cl(A), cl(B))),
+            ),
+            closed_only=True,
         ),
         # Idempotency.
-        law(
-            "meet-idempotency", 1, PER_MODE, UNRESTRICTED,
-            "A ⊓ A = cl(A)",
-            lambda u, q, m: meet(q[0], q[0], m) == cl(q[0]),
-        ),
-        law(
-            "join-idempotency", 1, MODE_FREE, UNRESTRICTED,
-            "A ⊔ A = cl(A)",
-            lambda u, q, m: join(q[0], q[0]) == cl(q[0]),
-        ),
-        law(
-            "idempotency-closed", 1, PER_MODE, CLOSED_ONLY,
-            "closed A: A ⊓ A = A and A ⊔ A = A",
-            lambda u, q, m: meet(q[0], q[0], m) == q[0] and join(q[0], q[0]) == q[0],
-        ),
+        law("meet-idempotency", eq(meet(A, A), cl(A))),
+        law("join-idempotency", eq(join(A, A), cl(A))),
+        law("idempotency-closed", and_(eq(meet(A, A), A), eq(join(A, A), A)), closed_only=True),
         # Commutativity and associativity.
-        law(
-            "meet-commutativity", 2, PER_MODE, UNRESTRICTED,
-            "A ⊓ B = B ⊓ A",
-            lambda u, q, m: meet(q[0], q[1], m) == meet(q[1], q[0], m),
-        ),
-        law(
-            "join-commutativity", 2, MODE_FREE, UNRESTRICTED,
-            "A ⊔ B = B ⊔ A",
-            lambda u, q, m: join(q[0], q[1]) == join(q[1], q[0]),
-        ),
-        law(
-            "meet-associativity", 3, PER_MODE, UNRESTRICTED,
-            "A ⊓ (B ⊓ C) = (A ⊓ B) ⊓ C",
-            lambda u, q, m: meet(q[0], meet(q[1], q[2], m), m)
-            == meet(meet(q[0], q[1], m), q[2], m),
-        ),
-        law(
-            "join-associativity", 3, MODE_FREE, UNRESTRICTED,
-            "A ⊔ (B ⊔ C) = (A ⊔ B) ⊔ C",
-            lambda u, q, m: join(q[0], join(q[1], q[2])) == join(join(q[0], q[1]), q[2]),
-        ),
+        law("meet-commutativity", eq(meet(A, B), meet(B, A))),
+        law("join-commutativity", eq(join(A, B), join(B, A))),
+        law("meet-associativity", eq(meet(A, meet(B, C)), meet(meet(A, B), C))),
+        law("join-associativity", eq(join(A, join(B, C)), join(join(A, B), C))),
         # Absorption.
+        law("meet-absorption", eq(meet(A, join(A, B)), cl(A))),
+        law("join-absorption", eq(join(A, meet(A, B)), cl(A))),
         law(
-            "meet-absorption", 2, PER_MODE, UNRESTRICTED,
-            "A ⊓ (A ⊔ B) = cl(A)",
-            lambda u, q, m: meet(q[0], join(q[0], q[1]), m) == cl(q[0]),
-        ),
-        law(
-            "join-absorption", 2, PER_MODE, UNRESTRICTED,
-            "A ⊔ (A ⊓ B) = cl(A)",
-            lambda u, q, m: join(q[0], meet(q[0], q[1], m)) == cl(q[0]),
-        ),
-        law(
-            "absorption-closed", 2, PER_MODE, CLOSED_ONLY,
-            "closed A,B: A ⊓ (A ⊔ B) = A and A ⊔ (A ⊓ B) = A",
-            lambda u, q, m: meet(q[0], join(q[0], q[1]), m) == q[0]
-            and join(q[0], meet(q[0], q[1], m)) == q[0],
+            "absorption-closed",
+            and_(eq(meet(A, join(A, B)), A), eq(join(A, meet(A, B)), A)),
+            closed_only=True,
         ),
         # Bounds.
-        law(
-            "zero-meet", 1, PER_MODE, UNRESTRICTED,
-            "0 ⊓ A = 0",
-            lambda u, q, m: meet(zero(u), q[0], m) == zero(u),
-        ),
-        law(
-            "zero-join", 1, MODE_FREE, UNRESTRICTED,
-            "0 ⊔ A = cl(A)",
-            lambda u, q, m: join(zero(u), q[0]) == cl(q[0]),
-        ),
-        law(
-            "one-meet", 1, PER_MODE, UNRESTRICTED,
-            "A ⊓ 1 = cl(A)",
-            lambda u, q, m: meet(q[0], one(u), m) == cl(q[0]),
-        ),
-        law(
-            "one-join", 1, MODE_FREE, UNRESTRICTED,
-            "A ⊔ 1 = 1",
-            lambda u, q, m: join(q[0], one(u)) == one(u),
-        ),
+        law("zero-meet", eq(meet(ZERO, A), ZERO)),
+        law("zero-join", eq(join(ZERO, A), cl(A))),
+        law("one-meet", eq(meet(A, ONE), cl(A))),
+        law("one-join", eq(join(A, ONE), ONE)),
         # Distributivity.
-        law(
-            "distributivity-join-over-meet", 3, PER_MODE, UNRESTRICTED,
-            "A ⊔ (B ⊓ C) = (A ⊔ B) ⊓ (A ⊔ C)",
-            lambda u, q, m: join(q[0], meet(q[1], q[2], m))
-            == meet(join(q[0], q[1]), join(q[0], q[2]), m),
-        ),
-        law(
-            "distributivity-meet-over-join", 3, PER_MODE, UNRESTRICTED,
-            "A ⊓ (B ⊔ C) = (A ⊓ B) ⊔ (A ⊓ C)",
-            lambda u, q, m: meet(q[0], join(q[1], q[2]), m)
-            == join(meet(q[0], q[1], m), meet(q[0], q[2], m)),
-        ),
-        law(
-            "distributivity-closed", 3, PER_MODE, CLOSED_ONLY,
-            "closed A,B,C: both distributive laws",
-            lambda u, q, m: join(q[0], meet(q[1], q[2], m))
-            == meet(join(q[0], q[1]), join(q[0], q[2]), m)
-            and meet(q[0], join(q[1], q[2]), m)
-            == join(meet(q[0], q[1], m), meet(q[0], q[2], m)),
-        ),
+        law("distributivity-join-over-meet", join_over_meet),
+        law("distributivity-meet-over-join", meet_over_join),
+        law("distributivity-closed", and_(join_over_meet, meet_over_join), closed_only=True),
         # The induced order.
+        law("order-reflexivity", and_(leq(A, A), leq(A, cl(A)))),
+        law("order-weak-antisymmetry", implies(and_(leq(A, B), leq(B, A)), eq(cl(A), cl(B)))),
+        law("order-transitivity", implies(and_(leq(A, B), leq(B, C)), leq(A, C))),
+        law("order-meet-lower-bound", and_(leq(meet(A, B), A), leq(meet(A, B), B))),
         law(
-            "order-reflexivity", 1, MODE_FREE, UNRESTRICTED,
-            "A ≤ A and A ≤ cl(A)",
-            lambda u, q, m: leq(q[0], q[0]) and leq(q[0], cl(q[0])),
+            "order-meet-greatest-lower",
+            implies(and_(leq(C, A), leq(C, B)), leq(C, meet(A, B))),
         ),
+        law("order-join-upper-bound", and_(leq(A, join(A, B)), leq(B, join(A, B)))),
         law(
-            "order-weak-antisymmetry", 2, MODE_FREE, UNRESTRICTED,
-            "A ≤ B and B ≤ A ⇒ cl(A) = cl(B)",
-            lambda u, q, m: not (leq(q[0], q[1]) and leq(q[1], q[0]))
-            or cl(q[0]) == cl(q[1]),
+            "order-join-least-upper",
+            implies(and_(leq(A, C), leq(B, C)), leq(join(A, B), C)),
         ),
-        law(
-            "order-transitivity", 3, MODE_FREE, UNRESTRICTED,
-            "A ≤ B and B ≤ C ⇒ A ≤ C",
-            lambda u, q, m: not (leq(q[0], q[1]) and leq(q[1], q[2])) or leq(q[0], q[2]),
-        ),
-        law(
-            "order-meet-lower-bound", 2, PER_MODE, UNRESTRICTED,
-            "A ⊓ B ≤ A and A ⊓ B ≤ B",
-            lambda u, q, m: leq(meet(q[0], q[1], m), q[0]) and leq(meet(q[0], q[1], m), q[1]),
-        ),
-        law(
-            "order-meet-greatest-lower", 3, PER_MODE, UNRESTRICTED,
-            "C ≤ A and C ≤ B ⇒ C ≤ A ⊓ B",
-            lambda u, q, m: not (leq(q[2], q[0]) and leq(q[2], q[1]))
-            or leq(q[2], meet(q[0], q[1], m)),
-        ),
-        law(
-            "order-join-upper-bound", 2, MODE_FREE, UNRESTRICTED,
-            "A ≤ A ⊔ B and B ≤ A ⊔ B",
-            lambda u, q, m: leq(q[0], join(q[0], q[1])) and leq(q[1], join(q[0], q[1])),
-        ),
-        law(
-            "order-join-least-upper", 3, MODE_FREE, UNRESTRICTED,
-            "A ≤ C and B ≤ C ⇒ A ⊔ B ≤ C",
-            lambda u, q, m: not (leq(q[0], q[2]) and leq(q[1], q[2]))
-            or leq(join(q[0], q[1]), q[2]),
-        ),
-        law(
-            "order-bounds", 1, MODE_FREE, UNRESTRICTED,
-            "0 ≤ A and A ≤ 1",
-            lambda u, q, m: leq(zero(u), q[0]) and leq(q[0], one(u)),
-        ),
-        law(
-            "order-meet-collapse", 2, PER_MODE, UNRESTRICTED,
-            "A ≤ B ⇒ A ⊓ B = cl(A)",
-            lambda u, q, m: not leq(q[0], q[1]) or meet(q[0], q[1], m) == cl(q[0]),
-        ),
-        law(
-            "leq-iff-leq1", 2, PER_MODE, UNRESTRICTED,
-            "A ≤ B iff A ⊓ B = cl(A)",
-            lambda u, q, m: leq(q[0], q[1]) == leq1(q[0], q[1], m),
-        ),
+        law("order-bounds", and_(leq(ZERO, A), leq(A, ONE))),
+        law("order-meet-collapse", implies(leq(A, B), eq(meet(A, B), cl(A)))),
+        law("leq-iff-leq1", iff(leq(A, B), eq(meet(A, B), cl(A)))),
         # The orthocomplement.
-        law(
-            "ortho-empty", 1, MODE_FREE, UNRESTRICTED,
-            "∅⊥ = U",
-            lambda u, q, m: ortho(zero(u)) == one(u),
-        ),
-        law(
-            "ortho-full", 1, MODE_FREE, UNRESTRICTED,
-            "U⊥ = ∅",
-            lambda u, q, m: ortho(one(u)) == zero(u),
-        ),
-        law(
-            "ortho-residue", 1, MODE_FREE, UNRESTRICTED,
-            "U − A⊥ = cl(A)",
-            lambda u, q, m: (one(u) - ortho(q[0])) == cl(q[0]),
-        ),
-        law(
-            "ortho-closed", 1, MODE_FREE, UNRESTRICTED,
-            "cl(A⊥) = A⊥ = cl(A)⊥",
-            lambda u, q, m: cl(ortho(q[0])) == ortho(q[0])
-            and ortho(cl(q[0])) == ortho(q[0]),
-        ),
-        law(
-            "ortho-involution", 1, MODE_FREE, UNRESTRICTED,
-            "A⊥⊥ = cl(A)",
-            lambda u, q, m: ortho(ortho(q[0])) == cl(q[0]),
-        ),
-        law(
-            "ortho-antitone", 2, MODE_FREE, UNRESTRICTED,
-            "A ≤ B ⇒ B⊥ ≤ A⊥",
-            lambda u, q, m: not leq(q[0], q[1]) or leq(ortho(q[1]), ortho(q[0])),
-        ),
+        law("ortho-empty", eq(ortho(ZERO), ONE)),
+        law("ortho-full", eq(ortho(ONE), ZERO)),
+        law("ortho-residue", eq(diff(ONE, ortho(A)), cl(A))),
+        law("ortho-closed", and_(eq(cl(ortho(A)), ortho(A)), eq(ortho(cl(A)), ortho(A)))),
+        law("ortho-involution", eq(ortho(ortho(A)), cl(A))),
+        law("ortho-antitone", implies(leq(A, B), leq(ortho(B), ortho(A)))),
         # Complementation and its absorption corollaries.
-        law(
-            "meet-complementation", 1, PER_MODE, UNRESTRICTED,
-            "A ⊓ A⊥ = 0",
-            lambda u, q, m: meet(q[0], ortho(q[0]), m) == zero(u),
-        ),
-        law(
-            "join-complementation", 1, MODE_FREE, UNRESTRICTED,
-            "A ⊔ A⊥ = 1",
-            lambda u, q, m: join(q[0], ortho(q[0])) == one(u),
-        ),
-        law(
-            "join-with-contradiction", 2, PER_MODE, UNRESTRICTED,
-            "A ⊔ (B ⊓ B⊥) = cl(A)",
-            lambda u, q, m: join(q[0], meet(q[1], ortho(q[1]), m)) == cl(q[0]),
-        ),
-        law(
-            "meet-with-excluded-middle", 2, PER_MODE, UNRESTRICTED,
-            "A ⊓ (B ⊔ B⊥) = cl(A)",
-            lambda u, q, m: meet(q[0], join(q[1], ortho(q[1])), m) == cl(q[0]),
-        ),
+        law("meet-complementation", eq(meet(A, ortho(A)), ZERO)),
+        law("join-complementation", eq(join(A, ortho(A)), ONE)),
+        law("join-with-contradiction", eq(join(A, meet(B, ortho(B))), cl(A))),
+        law("meet-with-excluded-middle", eq(meet(A, join(B, ortho(B))), cl(A))),
         # De Morgan.
-        law(
-            "join-de-morgan", 2, PER_MODE, UNRESTRICTED,
-            "(A ⊔ B)⊥ = A⊥ ⊓ B⊥",
-            lambda u, q, m: ortho(join(q[0], q[1])) == meet(ortho(q[0]), ortho(q[1]), m),
-        ),
-        law(
-            "partial-de-morgan-as-stated", 2, PER_MODE, UNRESTRICTED,
-            "(A ⊓ B)⊥ ⊆ A⊥ ⊔ B⊥",
-            lambda u, q, m: ortho(meet(q[0], q[1], m)).is_subset(
-                join(ortho(q[0]), ortho(q[1]))
-            ),
-        ),
-        law(
-            "partial-de-morgan-corrected", 2, PER_MODE, UNRESTRICTED,
-            "A⊥ ⊔ B⊥ ⊆ (A ⊓ B)⊥",
-            lambda u, q, m: join(ortho(q[0]), ortho(q[1])).is_subset(
-                ortho(meet(q[0], q[1], m))
-            ),
-        ),
-        law(
-            "meet-de-morgan-equality", 2, PER_MODE, UNRESTRICTED,
-            "(A ⊓ B)⊥ = A⊥ ⊔ B⊥",
-            lambda u, q, m: ortho(meet(q[0], q[1], m)) == join(ortho(q[0]), ortho(q[1])),
-        ),
-        law(
-            "meet-de-morgan-closed", 2, PER_MODE, CLOSED_ONLY,
-            "closed A,B: (A ⊓ B)⊥ = A⊥ ⊔ B⊥",
-            lambda u, q, m: ortho(meet(q[0], q[1], m)) == join(ortho(q[0]), ortho(q[1])),
-        ),
+        law("join-de-morgan", eq(ortho(join(A, B)), meet(ortho(A), ortho(B)))),
+        law("partial-de-morgan-as-stated", sub(ortho(meet(A, B)), join(ortho(A), ortho(B)))),
+        law("partial-de-morgan-corrected", sub(join(ortho(A), ortho(B)), ortho(meet(A, B)))),
+        law("meet-de-morgan-equality", meet_de_morgan),
+        law("meet-de-morgan-closed", meet_de_morgan, closed_only=True),
         # Orthomodularity, orthogonality, modularity.
         law(
-            "orthomodularity", 2, MODE_FREE, UNRESTRICTED,
-            "A ≤ B ⇒ A ⊔ (A ⊔ B⊥)⊥ = cl(B)",
-            lambda u, q, m: orthomodular_instance(q[0], q[1]),
+            "orthomodularity",
+            implies(leq(A, B), eq(join(A, ortho(join(A, ortho(B)))), cl(B))),
         ),
+        law("orthogonality-characterization", iff(orth(A, B), empty(inter(A, cl(B))))),
         law(
-            "orthogonality-characterization", 2, MODE_FREE, UNRESTRICTED,
-            "A ⊥ B iff A ∩ cl(B) = ∅",
-            lambda u, q, m: orthogonal(q[0], q[1]) == (len(q[0] & cl(q[1])) == 0),
-        ),
-        law(
-            "modularity-probe", 3, PER_MODE, UNRESTRICTED,
-            "A ≤ B ⇒ A ⊔ (C ⊓ B) = (A ⊔ C) ⊓ B",
-            lambda u, q, m: modular_instance(q[0], q[1], q[2], m),
+            "modularity-probe",
+            implies(leq(A, B), eq(join(A, meet(C, B)), meet(join(A, C), B))),
             probe=True,
         ),
     ]
@@ -586,27 +405,25 @@ class SampleStream:
 # The check engine
 # --------------------------------------------------------------------------
 
-_VAR_NAMES = ("A", "B", "C")
-
-
-def _named(tup: Sequence[QSet]) -> dict[str, tuple[str, ...]]:
-    return {_VAR_NAMES[i]: tup[i].members for i in range(len(tup))}
+def _named(universe: Universe, masks: Sequence[int]) -> dict[str, tuple[str, ...]]:
+    return {VARIABLES[i]: QSet(universe, mask).members for i, mask in enumerate(masks)}
 
 
 def _minimize(
     universe: Universe,
     law: LawSpec,
-    tup: tuple[QSet, ...],
+    masks: Sequence[int],
     mode: OpMode,
     restricted: bool,
-) -> tuple[QSet, ...]:
+) -> list[int]:
     """Lexicographic descent: drop one atom (one block, for closed-only laws)
-    from any position while the tuple still falsifies the predicate."""
+    from any position while the tuple still falsifies the law."""
     if restricted:
         units = list(universe._block_masks)
     else:
         units = [1 << pos for pos in range(len(universe))]
-    masks = [q.mask for q in tup]
+    holds = law.holds
+    masks = list(masks)
     improved = True
     while improved:
         improved = False
@@ -616,14 +433,13 @@ def _minimize(
                     continue
                 candidate = list(masks)
                 candidate[i] = masks[i] & ~unit
-                qsets = tuple(QSet(universe, m) for m in candidate)
-                if not law.predicate(universe, qsets, mode):
+                if not holds(universe, mode, *candidate):
                     masks = candidate
                     improved = True
                     break
             if improved:
                 break
-    return tuple(QSet(universe, m) for m in masks)
+    return masks
 
 
 def check_law(
@@ -637,34 +453,41 @@ def check_law(
 ) -> LawReport:
     """Quantify one law over one universe and report the outcome.
 
-    Exhaustive strategies iterate every tuple of subsets (of closed qsets,
-    when the law is restricted or ``closed_only`` is forced); sampled
-    strategies draw tuples from a deterministic stream keyed by
-    (seed, universe digest, law name).  The first failing tuple is minimized
-    before reporting, and re-evaluates to false by construction.
+    Exhaustive strategies cover every tuple of subsets (of closed qsets,
+    when the law is restricted or ``closed_only`` is forced), bit-sliced, in
+    ``itertools.product`` order; sampled strategies draw tuples from a
+    deterministic stream keyed by (seed, universe digest, law name).  The
+    first failing tuple is minimized before reporting, and re-evaluates to
+    false by construction.
     """
     if law.mode_sensitivity == PER_MODE:
         if mode is None:
             raise ValueError(f"law {law.name!r} is mode-sensitive; a mode is required")
     else:
         mode = None
-    # A mode-free predicate ignores its mode argument, so any member will do.
+    # A mode-free law ignores the mode, so any member will do.
     eval_mode = OpMode.LITERAL if mode is None else mode
     report_mode = mode_name(mode)
 
     restricted = (law.restriction == CLOSED_ONLY) if closed_only is None else closed_only
-    domain = universe.closed_qsets() if restricted else list(universe.subsets())
+    if restricted:
+        width = len(universe.blocks)
+        domain = [q.mask for q in universe.closed_qsets()]
+    else:
+        width = len(universe)
+        require_enumerable(width, "atoms")
+        domain = range(1 << width)
     digest = universe.digest
 
-    def failure_report(tup: tuple[QSet, ...], checked: int) -> LawReport:
-        minimized = _minimize(universe, law, tup, eval_mode, restricted)
+    def failure_report(masks: Sequence[int], checked: int) -> LawReport:
+        minimized = _minimize(universe, law, masks, eval_mode, restricted)
         return LawReport(
             law=law.name,
             mode=report_mode,
             universe_digest=digest,
             status="fails",
             cases_checked=checked,
-            counterexample=_named(minimized),
+            counterexample=_named(universe, minimized),
             minimal=True,
         )
 
@@ -675,24 +498,22 @@ def check_law(
                 f"law {law.name!r} needs {total} cases on this universe, over the "
                 f"budget {case_budget}; use a sampling strategy"
             )
-        checked = 0
-        for tup in itertools.product(domain, repeat=law.arity):
-            checked += 1
-            if not law.predicate(universe, tup, eval_mode):
-                return failure_report(tup, checked)
-        return LawReport(law.name, report_mode, digest, "holds", total, None, False)
+        index = first_failure(law.sliced, law.arity, universe, eval_mode, restricted)
+        if index is None:
+            return LawReport(law.name, report_mode, digest, "holds", total, None, False)
+        digit = (1 << width) - 1
+        masks = [
+            domain[index >> (width * (law.arity - 1 - p)) & digit] for p in range(law.arity)
+        ]
+        return failure_report(masks, index + 1)
 
     stream = SampleStream(strategy.seed, digest, law.name)
-    bound = 1 << (len(universe.blocks) if restricted else len(universe))
-    closed = domain if restricted else None
+    bound = 1 << width
+    holds = law.holds
     for draw in range(strategy.sample_count):
-        picks = []
-        for _ in range(law.arity):
-            index = stream.next_below(bound)
-            picks.append(closed[index] if restricted else QSet(universe, index))
-        tup = tuple(picks)
-        if not law.predicate(universe, tup, eval_mode):
-            return failure_report(tup, draw + 1)
+        masks = [domain[stream.next_below(bound)] for _ in range(law.arity)]
+        if not holds(universe, eval_mode, *masks):
+            return failure_report(masks, draw + 1)
     return LawReport(
         law.name, report_mode, digest, "holds", strategy.sample_count, None, False
     )

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from ilattice import build_universe, universe_to_dict
+from ilattice import cli
 from ilattice.cli import main
 from ilattice.verifier import REPORT_SCHEMA
 
@@ -267,6 +268,20 @@ class TestDeterminismAndDefault:
         second = subprocess.run(command, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout
+
+    def test_reused_parser_after_usage_error(self, capsys, universe_file):
+        valid = ["check", "--universe", universe_file, "--law", "cloud-empty",
+                 "--format", "json"]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ilattice", *valid], capture_output=True, check=True
+        )
+        code, _, err = run(capsys, "check", "--universe", universe_file)
+        assert code == 1
+        assert "--law" in err
+        code, out, _ = run(capsys, *valid)
+        assert code == 0
+        assert out.encode("utf-8") == fresh.stdout
+        assert cli._build_parser() is cli._build_parser()
 
     def test_byte_identical_sampled_runs(self, universe_file):
         command = [

@@ -1,5 +1,8 @@
 """Parser, printer, and bounded formula-universe generation."""
 
+import subprocess
+import sys
+
 import pytest
 
 from ilattice import (
@@ -137,3 +140,19 @@ class TestFormulaUniverse:
         a, b = Var("a"), Var("b")
         hashes = {hash(node(a, b)) for node in (Conj, Disj, Cond, Bicond)}
         assert len(hashes) == 4
+
+
+def test_reimport_releases_the_old_module():
+    """Importing the package afresh must let the old copy be collected."""
+    script = (
+        "import gc, importlib, sys, weakref\n"
+        "import ilattice.formulas\n"
+        "old = weakref.ref(ilattice.formulas.Var)\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'ilattice']:\n"
+        "    del sys.modules[name]\n"
+        "del ilattice\n"
+        "importlib.import_module('ilattice.formulas')\n"
+        "gc.collect()\n"
+        "assert old() is None, 'the old formulas module is still alive'\n"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)

@@ -137,6 +137,11 @@ class TestSetAlgebra:
         with pytest.raises(UniverseMismatchError):
             mixed.qset(["x1"]).union(one_block.qset(["x1"]))
 
+    def test_separately_built_universes_are_equal(self, mixed):
+        twin = build_universe([("x1", "m"), ("x2", "m"), ("y", "M")], [["x1", "x2"], ["y"]])
+        assert twin is not mixed and twin == mixed and hash(twin) == hash(mixed)
+        assert mixed.qset(["x1"]).union(twin.qset(["y"])) == mixed.qset(["x1", "y"])
+
     def test_membership_iteration_len(self, mixed):
         q = mixed.qset(["y", "x1"])
         assert q.members == ("x1", "y")
